@@ -1,0 +1,5 @@
+"""Whole-stack benchmark for the AI Metropolis reproduction.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds
+<s> --trace <0|1>`` from the repository root; see ``perfbench/NOTES.md``.
+"""
