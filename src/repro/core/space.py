@@ -453,22 +453,56 @@ class GraphSpace:
         """
         return self._level_of(pos)[2]
 
-    def components_of(self, node_ids: np.ndarray) -> np.ndarray:
+    def components_of(self, node_ids: np.ndarray,
+                      strict: bool = True) -> np.ndarray:
         """Vectorized :meth:`component_of` over dense ``(id, 0)`` ids.
 
         Only available when ``dense_node_cells``; the shard planner
         uses it to classify a million agents in one indexed read.
+        Unknown ids raise :class:`ConfigError`, or map to ``-1`` with
+        ``strict=False`` (the trace validator's per-row check).
         """
+        larr = self._larr
+        if larr is None:
+            raise ConfigError("components_of needs dense (id, 0) node ids")
         nodes = np.asarray(node_ids)
-        n_rows = len(self._larr)
-        if nodes.size and (nodes.min() < 0 or nodes.max() >= n_rows):
-            bad = nodes[(nodes < 0) | (nodes >= n_rows)][0]
-            raise ConfigError(f"unknown node {(int(bad), 0)!r}")
-        comp = self._larr[nodes, 2]
-        if nodes.size and comp.min() < 0:
+        inside = (nodes >= 0) & (nodes < len(larr))
+        comp = np.where(inside, larr[np.where(inside, nodes, 0), 2], -1)
+        if strict and nodes.size and comp.min() < 0:
             bad = nodes[comp < 0][0]
             raise ConfigError(f"unknown node {(int(bad), 0)!r}")
         return comp
+
+    def hops(self, src_ids: np.ndarray, dst_ids: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`dist` over pairs of dense ``(id, 0)`` ids.
+
+        Returns a float array shaped like ``src_ids``. Every id must be
+        known (:meth:`components_of` raises otherwise). Cross-component
+        pairs are ``inf`` straight from the component column, with no
+        BFS. The rest are de-duplicated on one int64 key; a distinct
+        pair one edge apart is 1 from the adjacency, and any other runs
+        the exact :meth:`dist` once (sources grouped, so the one-slot
+        field memo serves each source's targets back to back).
+        """
+        src = np.asarray(src_ids, dtype=np.int64)
+        dst = np.asarray(dst_ids, dtype=np.int64)
+        out = np.full(src.shape, math.inf)
+        same = self.components_of(src) == self.components_of(dst)
+        if same.any():
+            n_rows = len(self._larr)
+            keys, inverse = np.unique(src[same] * n_rows + dst[same],
+                                      return_inverse=True)
+            adj, dist = self._adj, self.dist
+
+            def exact(key: int) -> float:
+                a, b = (key // n_rows, 0), (key % n_rows, 0)
+                # One edge apart (the common move): no BFS needed.
+                return 1.0 if a != b and b in adj[a] else dist(a, b)
+
+            out[same] = np.fromiter(map(exact, keys.tolist()),
+                                    dtype=np.float64,
+                                    count=len(keys))[inverse]
+        return out
 
     # -- metric -------------------------------------------------------------
 

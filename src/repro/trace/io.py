@@ -9,13 +9,54 @@ call event, plus a header object and a movement record per agent.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import TraceError
 from .schema import Trace, TraceMeta, _alloc_positions
+
+#: Call-event arrays of the npz layout, alongside ``meta`` and positions.
+_CALL_ARRAYS = ("call_step", "call_agent", "call_func", "call_in",
+                "call_out")
+
+#: Accepted JSON types per ``TraceMeta`` field annotation.
+_META_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _meta_from(record, source: str) -> TraceMeta:
+    """``TraceMeta`` from a decoded header, or a ``TraceError`` naming
+    the unknown, missing or mistyped field."""
+    if not isinstance(record, dict):
+        raise TraceError(f"{source}: trace meta is not a JSON object")
+    known = {f.name: f for f in fields(TraceMeta)}
+    for name, value in record.items():
+        field = known.get(name)
+        if field is None:
+            raise TraceError(f"{source}: unknown trace meta field {name!r}")
+        if isinstance(value, bool) or \
+                not isinstance(value, _META_TYPES.get(field.type, object)):
+            raise TraceError(
+                f"{source}: trace meta field {name!r} must be "
+                f"{field.type}, got {type(value).__name__}")
+    for name, field in known.items():
+        if name not in record and field.default is MISSING:
+            raise TraceError(
+                f"{source}: missing trace meta field {name!r}")
+    return TraceMeta(**record)
+
+
+def _int_array(data, name: str, source: str) -> np.ndarray:
+    """Array ``name`` of an npz archive; integer dtype required."""
+    if name not in data.files:
+        raise TraceError(f"{source}: missing array {name!r}")
+    arr = data[name]
+    if arr.dtype.kind not in "iu":
+        raise TraceError(
+            f"{source}: array {name!r} has dtype {arr.dtype}, "
+            f"expected integers")
+    return arr
 
 
 def save_trace(trace: Trace, path: str | Path) -> None:
@@ -40,13 +81,20 @@ def load_trace(path: str | Path) -> Trace:
     if not path.exists():
         raise TraceError(f"no trace at {path}")
     with np.load(path, allow_pickle=False) as data:
-        meta = TraceMeta(**json.loads(str(data["meta"])))
+        if "meta" not in data.files:
+            raise TraceError(f"{path}: missing array 'meta'")
+        try:
+            record = json.loads(str(data["meta"]))
+        except ValueError as exc:
+            raise TraceError(
+                f"{path}: trace meta is not JSON: {exc}") from exc
+        meta = _meta_from(record, str(path))
         # Step-major is the canonical on-disk layout; files written
         # before the numpy position store carried agent-major arrays.
-        if "positions_sa" in data.files:
-            positions, step_major = data["positions_sa"], True
-        else:
-            positions, step_major = data["positions"], False
+        step_major = "positions_sa" in data.files
+        positions = _int_array(
+            data, "positions_sa" if step_major else "positions", str(path))
+        calls = [_int_array(data, name, str(path)) for name in _CALL_ARRAYS]
         # Route big stores through the size-thresholded allocator so a
         # million-agent load lands in the same (possibly memmap-backed)
         # kind of store the generator builds, instead of pinning the
@@ -55,10 +103,7 @@ def load_trace(path: str | Path) -> Trace:
         if isinstance(backed, np.memmap):
             np.copyto(backed, positions)
             positions = backed
-        trace = Trace(
-            meta, positions,
-            data["call_step"], data["call_agent"], data["call_func"],
-            data["call_in"], data["call_out"], step_major=step_major)
+        trace = Trace(meta, positions, *calls, step_major=step_major)
     # Graph traces: the coordinate speed check does not apply, so the
     # untrusted boundary re-checks movement in hop distance.
     trace.validate_movement()
@@ -99,7 +144,7 @@ def import_jsonl(path: str | Path) -> Trace:
             rec = json.loads(line)
             kind = rec.pop("type")
             if kind == "header":
-                meta = TraceMeta(**rec)
+                meta = _meta_from(rec, str(path))
             elif kind == "movement":
                 movements[rec["agent"]] = rec["path"]
             elif kind == "call":
@@ -112,9 +157,28 @@ def import_jsonl(path: str | Path) -> Trace:
                 raise TraceError(f"unknown record type {kind!r}")
     if meta is None:
         raise TraceError("jsonl trace missing header record")
-    positions = np.zeros((meta.n_agents, meta.n_steps + 1, 2), dtype=np.int32)
-    for aid, pos_list in movements.items():
-        positions[aid] = np.asarray(pos_list, dtype=np.int32)
+    shape = (meta.n_steps + 1, 2)
+    positions = np.zeros((meta.n_agents, *shape), dtype=np.int32)
+    for aid in range(meta.n_agents):
+        if aid not in movements:
+            raise TraceError(f"{path}: agent {aid} has no movement record")
+        try:
+            agent_path = np.asarray(movements.pop(aid))
+        except ValueError as exc:  # ragged nesting
+            raise TraceError(
+                f"{path}: agent {aid} movement path is ragged") from exc
+        if agent_path.shape != shape or agent_path.dtype.kind not in "iu":
+            raise TraceError(
+                f"{path}: agent {aid} movement path is "
+                f"{agent_path.dtype}{list(agent_path.shape)}, expected "
+                f"integer pairs {list(shape)}")
+        positions[aid] = agent_path
+        if not np.array_equal(positions[aid], agent_path):
+            raise TraceError(
+                f"{path}: agent {aid} movement path overflows int32")
+    if movements:
+        aid = next(iter(movements))
+        raise TraceError(f"{path}: movement record for unknown agent {aid!r}")
     trace = Trace(
         meta, positions,
         np.asarray(steps, dtype=np.int32), np.asarray(agents, dtype=np.int32),

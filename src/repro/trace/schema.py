@@ -54,6 +54,11 @@ def _alloc_positions(shape: tuple[int, ...], dtype) -> np.ndarray:
     return arr
 
 
+#: Position entries (agents x steps) per chunk of the graph movement
+#: check — bounds its temporaries at million-agent scale.
+_MOVEMENT_CHUNK = 1_000_000
+
+
 #: Distinct per-process suffix stream for shared-segment names.
 _SHM_SEQ = itertools.count()
 
@@ -286,24 +291,66 @@ class Trace:
     def validate_movement(self) -> None:
         """Check the per-step speed bound in the trace's *own* metric.
 
-        For graph traces this measures hop distance through the
-        scenario's space (resolved via ``rules_for``); coordinate
-        traces already validated at construction. Costs one distance
-        lookup per agent-step, so it runs at the untrusted boundaries
-        (trace load/import), not on every window slice.
+        For graph traces every position must be a ``(node_id, 0)`` pair
+        naming a node of the scenario's space (resolved via
+        ``rules_for``), and every step may move at most ``max_vel``
+        hops; coordinate traces already validated at construction.
+        Raises :class:`TraceError` for the first violation met reading
+        agents in id order, each path row by row: a malformed row names
+        the agent, step and node; a step that moves too far names the
+        agent, step and hop count.
+
+        Chunked over steps like the coordinate check, so peak memory
+        stays bounded at a million agents. Each chunk costs a few numpy
+        passes plus one O(1) adjacency or exact distance lookup per
+        *distinct* move (:meth:`GraphSpace.hops`) — agents mostly stand
+        still, so the Python work tracks moves, not agent-steps. It still runs only
+        at the untrusted boundaries (trace load/import), not on every
+        window slice.
         """
         if self.meta.metric != "graph":
             return
         from ..core.rules import rules_for  # lazy: avoid import cycle
         space = rules_for(None, self.meta).space
         max_vel = self.meta.max_vel
-        for aid in range(self.meta.n_agents):
-            for step in range(self.meta.n_steps):
-                d = space.dist(self.pos(aid, step), self.pos(aid, step + 1))
-                if d > max_vel:
-                    raise TraceError(
-                        f"agent {aid} moved {d} hops at step {step} "
-                        f"(max_vel={max_vel})")
+        pos = self._pos_sa
+        n_rows = pos.shape[0]
+        chunk = max(2, _MOVEMENT_CHUNK // max(1, pos.shape[1]))
+        cols = pos.shape[1]  # later chunks only matter for lower agents
+        error = None
+        for s0 in range(0, n_rows - 1, chunk - 1):
+            rows = pos[s0:s0 + chunk, :cols].astype(np.int64)
+            ids = rows[:, :, 0]
+            bad = (rows[:, :, 1] != 0) | (
+                space.components_of(ids, strict=False) < 0)
+            ok = ~(bad[:-1] | bad[1:])
+            moved = ok & (ids[1:] != ids[:-1])
+            t, a = np.nonzero(moved)
+            hops = np.zeros(moved.shape)
+            hops[t, a] = space.hops(ids[t, a], ids[t + 1, a])
+            # Each violation's event row: a malformed row is its own, a
+            # too-fast step's is the row it arrives at.
+            event = bad.copy()
+            event[1:] |= ok & (hops > max_vel)
+            a, r = np.nonzero(event.T)  # (agent, row) order
+            if not len(a):
+                continue
+            aid, r = int(a[0]), int(r[0])
+            node = (int(ids[r, aid]), int(rows[r, aid, 1]))
+            if not bad[r, aid]:
+                error = (f"agent {aid} moved {float(hops[r - 1, aid])} "
+                         f"hops at step {s0 + r - 1} (max_vel={max_vel})")
+            elif node[1]:
+                error = (f"agent {aid} is at {node!r} at step {s0 + r}: "
+                         f"graph positions must be (node_id, 0) pairs")
+            else:
+                error = (f"agent {aid} is on unknown node {node!r} at "
+                         f"step {s0 + r}")
+            cols = aid
+            if not cols:
+                break
+        if error is not None:
+            raise TraceError(error)
 
     def _build_index(self) -> None:
         """CSR row pointers: row = agent * n_steps + step."""
